@@ -4,13 +4,9 @@
 #   make obs-test    observability-layer tests only (pytest -m obs)
 #   make sweep-test  parallel experiment-runner tests only (pytest -m sweep)
 #   make check-test  invariant-monitor + fault-injection tests only
-#   make bench       paper tables/figures + simulator microbenchmarks
-#   make bench-gate  hot-path benchmark suite gated against the recorded
-#                    baseline (fails on >10% events/sec regression);
-#                    writes BENCH_pr4.json — see docs/REPRODUCTION_NOTES.md
-#   make bench-smoke ungated seconds-long bench run (CI artifact)
-#   make bench-baseline  re-record benchmarks/bench_baseline.json for this
-#                    machine (do this once before relying on bench-gate)
+#   make bench       paper tables/figures (benchmarks/); simulator speed
+#                    is measured by the repository benchmark instead:
+#                    python3 perfbench/run.py — see perfbench/README.md
 #   make trace-demo  quickstart with tracing on, JSONL validated against
 #                    the schema in docs/OBSERVABILITY.md
 #   make sweep-demo  8-point grid over 2 workers, rerun warm from the
@@ -43,11 +39,10 @@ TRACE_OUT ?= quickstart-trace.jsonl
 HANDOVER_OUT ?= handover-trace.jsonl
 RT_OUT    ?= rt-trace.jsonl
 SWEEP_CACHE ?= .sweep-demo-cache
-BENCH_OUT ?= BENCH_pr4.json
 
 .PHONY: test obs-test sweep-test check-test pathmgr-test hybrid-test \
 	farm-test farm-demo \
-	bench bench-gate bench-smoke bench-baseline trace-demo sweep-demo \
+	bench trace-demo sweep-demo \
 	handover-demo docs-check rt-test rt-demo
 
 test:
@@ -77,15 +72,6 @@ farm-demo:
 
 bench:
 	$(PP) $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-gate:
-	$(PP) $(PYTHON) -m repro bench --gate --out $(BENCH_OUT)
-
-bench-smoke:
-	$(PP) $(PYTHON) -m repro bench --scale smoke --out $(BENCH_OUT)
-
-bench-baseline:
-	$(PP) $(PYTHON) -m repro bench --update-baseline
 
 trace-demo:
 	$(PP) $(PYTHON) examples/quickstart.py --trace $(TRACE_OUT)

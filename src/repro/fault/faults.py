@@ -3,8 +3,8 @@
 Each fault binds a :class:`~repro.fault.spec.FaultSpec` to one concrete
 component (queue, pipe or sender) found by name in the simulation's
 component registry.  Injection hooks into the element's ``intercept``
-slot (queues, pipes) or wraps ``receive`` (senders) — the data path is
-untouched until a fault actually arms.
+slot (queues, pipes, senders) — the data path is untouched until a fault
+actually arms.
 
 Reproducibility: every fault draws from its **own** RNG, seeded from
 ``(sim.seed, kind, target, start)``.  Injected randomness therefore never
@@ -27,7 +27,7 @@ from typing import Any, List, Optional, Tuple
 
 from ..net.packet import AckPacket, DataPacket, Packet
 from ..net.pipe import Pipe
-from ..net.queue import DropTailQueue
+from ..net.queue import DropTailQueue, chain_intercept
 from ..net.route import Route
 from ..sim.simulation import Simulation
 from ..tcp.sender import TcpSender
@@ -79,17 +79,6 @@ class Fault:
         raise NotImplementedError
 
     # -- helpers --------------------------------------------------------
-    def _chain_intercept(self, mine) -> None:
-        """Install ``mine`` on the target's intercept slot, after any
-        interceptor already present (first consumer wins)."""
-        previous = self.target.intercept
-        if previous is None:
-            self.target.intercept = mine
-        else:
-            def chained(packet, _prev=previous, _mine=mine):
-                return _prev(packet) or _mine(packet)
-            self.target.intercept = chained
-
     def _fire(self, action: str, seq: Optional[int] = None,
               count: Optional[int] = None) -> None:
         if self.trace.enabled:
@@ -146,7 +135,7 @@ class LinkFlapFault(Fault):
             )
 
     def _schedule(self) -> None:
-        self._chain_intercept(self._intercept)
+        chain_intercept(self.target, self._intercept)
         for k in range(self.repeats):
             base = self.spec.start + k * self.period
             self.sim.schedule_at(base, self._go_down)
@@ -186,7 +175,7 @@ class LossBurstFault(Fault):
             raise ValueError(f"prob must be in (0, 1], got {self.prob!r}")
 
     def _schedule(self) -> None:
-        self._chain_intercept(self._intercept)
+        chain_intercept(self.target, self._intercept)
         self.sim.schedule_at(self.spec.start, self._begin)
         self.sim.schedule_at(self.spec.start + self.duration, self._end)
 
@@ -236,7 +225,7 @@ class ReorderFault(Fault):
         self._bypass: Optional[Packet] = None
 
     def _schedule(self) -> None:
-        self._chain_intercept(self._intercept)
+        chain_intercept(self.target, self._intercept)
 
     def _active(self) -> bool:
         if self.sim.now < self.spec.start:
@@ -305,10 +294,8 @@ class AckDropFault(Fault):
     ``duration`` seconds from ``start`` (a lossy reverse path).
 
     Cumulative ACKs make this safe — a later ACK covers the dropped one —
-    but it stresses RTT estimation and timer logic.  Implemented by
-    wrapping the sender's ``receive`` (senders are plain objects; queues
-    and pipes use the ``intercept`` slot instead because they are
-    ``__slots__``-constrained).
+    but it stresses RTT estimation and timer logic.  Implemented on the
+    sender's ``intercept`` slot, which ``receive`` checks first.
     """
 
     def __init__(self, sim, spec, target, trace=None):
@@ -322,24 +309,21 @@ class AckDropFault(Fault):
             raise ValueError(f"prob must be in (0, 1], got {self.prob!r}")
 
     def _schedule(self) -> None:
-        original = self.target.receive
-        fault = self
-
-        def guarded_receive(ack):
-            if (
-                fault.active
-                and isinstance(ack, AckPacket)
-                and fault.rng.random() < fault.prob
-            ):
-                fault.fires += 1
-                fault._dropped_this_window += 1
-                fault._trace_drop(ack, getattr(ack, "ack_seq", None))
-                return
-            original(ack)
-
-        self.target.receive = guarded_receive
+        chain_intercept(self.target, self._intercept)
         self.sim.schedule_at(self.spec.start, self._begin)
         self.sim.schedule_at(self.spec.start + self.duration, self._end)
+
+    def _intercept(self, packet: Packet) -> bool:
+        if (
+            self.active
+            and isinstance(packet, AckPacket)
+            and self.rng.random() < self.prob
+        ):
+            self.fires += 1
+            self._dropped_this_window += 1
+            self._trace_drop(packet, getattr(packet, "ack_seq", None))
+            return True
+        return False
 
     def _begin(self) -> None:
         self.active = True

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 
-from ..net.queue import DropTailQueue
+from ..net.queue import DropTailQueue, chain_intercept
 
 __all__ = ["HybridLink"]
 
@@ -96,13 +96,7 @@ class HybridLink:
                 )
             return True
 
-        previous = self.queue.intercept
-        if previous is None:
-            self.queue.intercept = hybrid_drop
-        else:
-            def chained(packet, _prev=previous, _mine=hybrid_drop):
-                return _prev(packet) or _mine(packet)
-            self.queue.intercept = chained
+        chain_intercept(self.queue, hybrid_drop)
 
     # ------------------------------------------------------------------
     def begin_step(self) -> None:

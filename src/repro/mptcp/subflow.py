@@ -31,14 +31,6 @@ class MptcpSubflow(TcpSender):
         super().__init__(sim, controller, source=None, name=name, **kwargs)
         self.connection = connection
 
-    def receive(self, ack: AckPacket) -> None:
-        # A retired subflow no longer belongs to the connection or its
-        # controller; a late ACK still in flight at retirement time must
-        # not feed data ACKs or window updates into state it left behind.
-        if self.retired:
-            return
-        super().receive(ack)
-
     def path_down(self, reason: str = "") -> None:
         """Path failure under this subflow: stop, then tell the connection
         so an attached path manager can retire us and fail over."""

@@ -19,7 +19,20 @@ from typing import Callable, Optional
 from ..sim.simulation import Simulation
 from .packet import Packet
 
-__all__ = ["DropTailQueue", "VariableRateQueue"]
+__all__ = ["DropTailQueue", "VariableRateQueue", "chain_intercept"]
+
+
+def chain_intercept(element, mine: Callable[[Packet], bool]) -> None:
+    """Install ``mine`` on ``element.intercept`` (a queue's, pipe's or TCP
+    sender's arrival interceptor), after any interceptor already present:
+    the first one to return True consumes the packet."""
+    previous = element.intercept
+    if previous is None:
+        element.intercept = mine
+    else:
+        def chained(packet, _prev=previous, _mine=mine):
+            return _prev(packet) or _mine(packet)
+        element.intercept = chained
 
 
 class DropTailQueue:

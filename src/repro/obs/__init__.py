@@ -22,13 +22,12 @@ from .schema import (
     validate_jsonl,
 )
 from .series import SeriesRecorder, cwnd_probe, queue_depth_probe, rtt_probe
-from .sinks import ColumnarSink, FilterSink, JsonlSink, MemorySink, TraceSink
+from .sinks import FilterSink, JsonlSink, MemorySink, TraceSink
 from .trace import NULL_TRACE, NullTrace, TraceBus
 
 __all__ = [
     "COMMON_FIELDS",
     "EVENT_TYPES",
-    "ColumnarSink",
     "FilterSink",
     "JsonlSink",
     "MemorySink",

@@ -20,11 +20,7 @@ import json
 from collections import Counter
 from typing import Dict, Iterator, List, Optional, Union
 
-__all__ = ["TraceSink", "FilterSink", "MemorySink", "JsonlSink", "ColumnarSink"]
-
-#: Padding sentinel for columns where a record lacked the field — distinct
-#: from None, which is a legitimate field value (e.g. ``dsn=None``).
-_MISSING = object()
+__all__ = ["TraceSink", "FilterSink", "MemorySink", "JsonlSink"]
 
 
 def _json_default(value):
@@ -156,93 +152,3 @@ class JsonlSink(TraceSink):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"JsonlSink({self.records_written} records)"
-
-
-class ColumnarSink(TraceSink):
-    """Struct-of-arrays in-memory sink: one table of parallel column lists
-    per event type, instead of one dict per record.
-
-    Every record of a given type comes from a single ``emit`` call site
-    with a fixed field set, so grouping by ``ev`` gives dense rectangular
-    tables: a 10⁶-record stream of ``cc.cwnd_update`` events is six flat
-    lists of primitives rather than 10⁶ dicts each carrying the same six
-    keys — a large constant-factor saving in memory and in post-processing
-    (columns feed ``numpy.asarray`` directly).  Schema drift within a type
-    is tolerated by padding with a private sentinel (``None`` is a
-    legitimate field value, e.g. ``dsn=None``, and round-trips intact).
-
-    The emission order of the full stream is recoverable through the ``i``
-    column; :meth:`records` reconstructs exactly the dict stream a
-    :class:`MemorySink` would have kept (the equivalence test in
-    ``tests/test_obs_trace.py`` holds it to that, bit for bit).
-    """
-
-    def __init__(self):
-        #: ev -> {field: column list}; every table also carries "t"/"i".
-        self.tables: Dict[str, Dict[str, list]] = {}
-        self._rows: Dict[str, int] = {}
-
-    def write(self, record: dict) -> None:
-        ev = record["ev"]
-        tables = self.tables
-        table = tables.get(ev)
-        if table is None:
-            table = tables[ev] = {k: [] for k in record if k != "ev"}
-            self._rows[ev] = 0
-        n = self._rows[ev]
-        for key, value in record.items():
-            if key == "ev":
-                continue
-            col = table.get(key)
-            if col is None:
-                # First appearance of a field mid-stream: backfill.
-                col = table[key] = [_MISSING] * n
-            col.append(value)
-        self._rows[ev] = n + 1
-        if len(table) > len(record) - 1:
-            # A known field missing from this record: pad.
-            for col in table.values():
-                if len(col) <= n:
-                    col.append(_MISSING)
-
-    # -- queries --------------------------------------------------------
-    def column(self, ev: str, field: str) -> list:
-        """One field of one event type, in emission order."""
-        return self.tables[ev][field]
-
-    def counts(self) -> Dict[str, int]:
-        """Record count per event type."""
-        return dict(self._rows)
-
-    def __len__(self) -> int:
-        return sum(self._rows.values())
-
-    def of_type(self, ev: str) -> List[dict]:
-        """All records of one event type, reconstructed in emission order."""
-        table = self.tables.get(ev)
-        if table is None:
-            return []
-        fields = list(table)
-        rows = []
-        for values in zip(*table.values()):
-            row = {"ev": ev}
-            row.update(
-                (k, v) for k, v in zip(fields, values) if v is not _MISSING
-            )
-            rows.append(row)
-        return rows
-
-    def records(self) -> List[dict]:
-        """The full stream reconstructed in emission order (by ``i``)."""
-        out = []
-        for ev in self.tables:
-            out.extend(self.of_type(ev))
-        out.sort(key=lambda r: r["i"])
-        return out
-
-    def clear(self) -> None:
-        self.tables.clear()
-        self._rows.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ColumnarSink({len(self)} records, {len(self.tables)} types)"

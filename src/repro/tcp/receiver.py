@@ -54,8 +54,6 @@ class TcpReceiver:
         "_delack_deadline", "_pending_packet", "expected", "_out_of_order",
         "_sack_set", "_sack_rotate", "packets_received", "packets_delivered",
         "duplicates", "_ack_route", "on_deliver", "ack_extension", "_sched",
-        # Tests and fault hooks may wrap methods on live instances.
-        "__dict__",
     )
 
     def __init__(

@@ -61,9 +61,7 @@ class TcpSender:
         "_timer_deadline", "_data_route", "_route", "_dsn_map",
         "packets_sent", "retransmissions", "loss_events", "timeouts",
         "running", "completed", "retired", "on_complete", "_sched",
-        # Fault injection (repro.fault) wraps .receive on live instances,
-        # and tests attach ad-hoc probes; keep a dict alongside the slots.
-        "__dict__",
+        "intercept",
     )
 
     def __init__(
@@ -136,6 +134,9 @@ class TcpSender:
         #: connection: late ACKs are ignored and the sender never restarts.
         self.retired = False
         self.on_complete: Optional[Callable[["TcpSender"], None]] = None
+        #: Optional ACK interceptor (``repro.fault``), checked first in
+        #: :meth:`receive`: returning True consumes the ACK.
+        self.intercept: Optional[Callable[[AckPacket], bool]] = None
 
         controller.add_subflow(self)
         sim.register(self)
@@ -345,6 +346,13 @@ class TcpSender:
     # ACK processing
     # ------------------------------------------------------------------
     def receive(self, ack: AckPacket) -> None:
+        if self.intercept is not None and self.intercept(ack):
+            return
+        # A retired subflow no longer belongs to its connection or its
+        # controller; a late ACK still in flight at retirement time must
+        # not feed data ACKs or window updates into state it left behind.
+        if self.retired:
+            return
         if not isinstance(ack, AckPacket):
             raise TypeError(f"sender got non-ACK packet {ack!r}")
         self._process_ack_extras(ack)

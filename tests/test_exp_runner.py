@@ -141,7 +141,7 @@ class TestAggregation:
 class TestDeterminismMatrix:
     """Serial, parallel and warm-cache executions must agree bit for bit
     with the array hot path underneath (batched dispatch, SoA network
-    state, columnar trace capture).
+    state).
 
     The golden suite pins the current build against a committed
     artefact; this matrix pins the runner's execution *modes* against
@@ -169,33 +169,21 @@ class TestDeterminismMatrix:
         ]
         assert len(set(dumps)) == 1
 
-    def test_columnar_capture_preserves_the_golden_digest(self):
-        """A monitored point traced into a ColumnarSink must reconstruct
-        the exact stream a row-wise sink digests: replaying the columnar
-        tables through a fresh TraceDigest reproduces the run's digest,
-        record for record."""
+    def test_traced_rerun_reproduces_row_and_digest(self):
+        """A monitored, traced point is deterministic: a second execution
+        (the retry/replay path) produces the same row and the same trace
+        digest."""
         from repro.exp.golden import TraceDigest, golden_specs
         from repro.check.hooks import trace_override
         from repro.exp.spec import TaskSpec, execute_task
-        from repro.obs import ColumnarSink
 
         spec = golden_specs("demo_rtt")[0]
 
         digest = TraceDigest()
-        columnar = ColumnarSink()
-        bus = TraceBus(sinks=[digest, columnar])
-        with trace_override(bus):
+        with trace_override(TraceBus(sinks=[digest])):
             row = execute_task(TaskSpec(index=0, spec=spec))
+        assert digest.records > 0
 
-        replayed = TraceDigest()
-        for record in columnar.records():
-            replayed.write(record)
-        assert replayed.records == digest.records
-        assert replayed.hexdigest() == digest.hexdigest()
-
-        # And the whole traced run is itself deterministic: a second
-        # execution (the retry/replay path) produces the same row and
-        # the same digest.
         again = TraceDigest()
         with trace_override(TraceBus(sinks=[again])):
             row2 = execute_task(TaskSpec(index=0, spec=spec))

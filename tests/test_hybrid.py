@@ -1,6 +1,7 @@
 """Tests for the flow-class / fluid-hybrid tier (repro.hybrid)."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from repro.net.queue import DropTailQueue
 from repro.net.route import Route
 from repro.obs import TraceBus
 from repro.obs.schema import validate_event
+from repro.obs.series import SeriesRecorder
 from repro.obs.sinks import MemorySink
 from repro.topology.scenarios import build_torus, build_two_links
 
@@ -294,3 +296,47 @@ def test_fluid_throughput_never_exceeds_capacity(caps, counts, algo, horizon):
         <= sum(caps) * 1.001
     for fc in classes:
         assert all(math.isfinite(w) and w >= fc.floor for w in fc.windows)
+
+
+def _torus_peak_heap(flows_per_class, classes=5, tracers=1, duration=1.0):
+    """Tracemalloc peak (bytes) of building and running a hybrid torus
+    carrying ``classes × flows_per_class`` fluid flows plus packet
+    tracers, with a SeriesRecorder sampling every fluid step."""
+    dt = 0.02
+    tracemalloc.start()
+    try:
+        sim = HybridSimulation(seed=61, dt=dt)
+        # Round-robin placement on the 5-link torus, links sized to the
+        # load they carry (the torus_hybrid scenario's sizing rule).
+        at_pos = [0] * 5
+        for c in range(classes):
+            at_pos[c % 5] += flows_per_class
+        for k in range(tracers):
+            at_pos[k % 5] += 1
+        rates = [20.0 * (at_pos[i] + at_pos[(i - 1) % 5]) for i in range(5)]
+        sc = build_torus(sim, rates, delay=0.05)
+        for c in range(classes):
+            sim.add_class(sc.routes(f"f{c % 5}"), "lia",
+                          count=flows_per_class, name=f"c{c}")
+        for k in range(tracers):
+            make_flow(sim, sc.routes(f"f{k % 5}"), "lia", name=f"tr{k}",
+                      max_cwnd=64.0).start(at=0.05 * (k + 1))
+        rec = SeriesRecorder(sim, interval=dt)
+        rec.add_probe("fluid_pps", lambda: sum(
+            fc.throughput_pps() for fc in sim.classes))
+        for link in sim.hybrid_links:
+            rec.add_probe(f"backlog.{link.name}", lambda l=link: l.backlog)
+        rec.start()
+        sim.run_until(duration)
+        assert sim.aggregate_flows == classes * flows_per_class
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_constant_in_flows_per_class():
+    """A flow class's state is per class, not per flow: 100x the flows
+    (10^6 instead of 10^4 in total) must not grow the heap peak."""
+    small = _torus_peak_heap(2_000)
+    large = _torus_peak_heap(200_000)
+    assert large <= 2 * small, (small, large)

@@ -337,51 +337,3 @@ class TestGoldenTrace:
         )
         expected = GOLDEN.read_text().splitlines()
         assert got == expected
-
-
-class TestColumnarSink:
-    """The struct-of-arrays sink must reconstruct the exact dict stream a
-    MemorySink keeps — same records, same field values (None included),
-    same emission order."""
-
-    def _run_traced(self, sinks):
-        bus = TraceBus(sinks=sinks, events=set(EVENT_TYPES) - {"engine.event_fired"})
-        sim = Simulation(seed=11, trace=bus)
-        sc = build_two_links(sim, 100.0, 100.0, buffer1_pkts=5, buffer2_pkts=5)
-        flow = make_flow(sim, sc.routes("multi"), "mptcp", name="m")
-        flow.start()
-        sim.run_until(1.0)
-
-    def test_reconstructs_memory_sink_stream_exactly(self):
-        from repro.obs import ColumnarSink
-
-        memory = MemorySink()
-        columnar = ColumnarSink()
-        self._run_traced([memory, columnar])
-        assert len(memory.events) > 100
-        assert columnar.records() == memory.events
-        assert columnar.counts() == memory.counts()
-        assert len(columnar) == len(memory)
-
-    def test_columns_are_flat_parallel_lists(self):
-        from repro.obs import ColumnarSink
-
-        columnar = ColumnarSink()
-        self._run_traced([columnar])
-        seqs = columnar.column("pkt.deliver", "seq")
-        times = columnar.column("pkt.deliver", "t")
-        assert len(seqs) == len(times) == columnar.counts()["pkt.deliver"]
-        assert all(isinstance(s, int) for s in seqs)
-
-    def test_schema_drift_pads_without_corrupting_values(self):
-        from repro.obs import ColumnarSink
-
-        sink = ColumnarSink()
-        sink.write({"ev": "x", "t": 0.0, "i": 0, "a": 1})
-        sink.write({"ev": "x", "t": 0.5, "i": 1, "b": None})   # a missing, b new
-        sink.write({"ev": "x", "t": 1.0, "i": 2, "a": 2, "b": 3})
-        assert sink.records() == [
-            {"ev": "x", "t": 0.0, "i": 0, "a": 1},
-            {"ev": "x", "t": 0.5, "i": 1, "b": None},
-            {"ev": "x", "t": 1.0, "i": 2, "a": 2, "b": 3},
-        ]
