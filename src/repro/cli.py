@@ -382,6 +382,24 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _print_handover_report(row: dict, title: str) -> None:
+    """Per-phase goodput table and lifecycle summary of a handover run."""
+    table = Table(["phase", "pkt/s", "Mb/s"], precision=1)
+    for phase, key in (("before outage", "pre_pps"),
+                       ("during outage", "outage_pps"),
+                       ("after recovery", "post_pps")):
+        table.add_row([phase, row[key], pps_to_mbps(row[key])])
+    print(table.render(title))
+    print(
+        f"handovers={row['handovers']}  "
+        f"subflows opened={row['subflows_opened']} "
+        f"closed={row['subflows_closed']}  "
+        f"join failures={row['join_failures']}  "
+        f"delivery gap={row['delivery_gap']}  "
+        f"violations={row['violations']}"
+    )
+
+
 def _cmd_handover(args) -> int:
     spec = ScenarioSpec(
         scenario="wifi_3g_handover",
@@ -412,24 +430,10 @@ def _cmd_handover(args) -> int:
     finally:
         if bus is not None:
             bus.close()
-    table = Table(["phase", "pkt/s", "Mb/s"], precision=1)
-    table.add_row(["before outage", row["pre_pps"],
-                   pps_to_mbps(row["pre_pps"])])
-    table.add_row(["during outage", row["outage_pps"],
-                   pps_to_mbps(row["outage_pps"])])
-    table.add_row(["after recovery", row["post_pps"],
-                   pps_to_mbps(row["post_pps"])])
-    print(table.render(
+    _print_handover_report(
+        row,
         f"WiFi→3G handover: {args.algo}, {args.policy} policy, "
-        f"{args.mode} (seed {args.seed})"
-    ))
-    print(
-        f"handovers={row['handovers']}  "
-        f"subflows opened={row['subflows_opened']} "
-        f"closed={row['subflows_closed']}  "
-        f"join failures={row['join_failures']}  "
-        f"delivery gap={row['delivery_gap']}  "
-        f"violations={row['violations']}"
+        f"{args.mode} (seed {args.seed})",
     )
     if args.trace:
         print(f"wrote {sink.records_written} pathmgr/check events "
@@ -485,23 +489,10 @@ def _cmd_rt(args) -> int:
         if bus is not None:
             bus.close()
     if args.handover:
-        table = Table(["phase", "pkt/s", "Mb/s"], precision=1)
-        table.add_row(["before outage", row["pre_pps"],
-                       pps_to_mbps(row["pre_pps"])])
-        table.add_row(["during outage", row["outage_pps"],
-                       pps_to_mbps(row["outage_pps"])])
-        table.add_row(["after recovery", row["post_pps"],
-                       pps_to_mbps(row["post_pps"])])
-        print(table.render(
+        _print_handover_report(
+            row,
             f"WiFi→3G handover on real UDP sockets: {args.algo} "
-            f"(seed {args.seed})"
-        ))
-        print(
-            f"handovers={row['handovers']}  "
-            f"subflows opened={row['subflows_opened']} "
-            f"closed={row['subflows_closed']}  "
-            f"delivery gap={row['delivery_gap']}  "
-            f"violations={row['violations']}"
+            f"(seed {args.seed})",
         )
     else:
         table = Table(["metric", "value"], precision=1)

@@ -1,6 +1,9 @@
-"""Measurement utilities: throughput meters, loss rates, fairness."""
+"""Measurement utilities: Jain's fairness index.
+
+Time series (goodput, loss, cwnd) are recorded with
+:class:`repro.obs.series.SeriesRecorder`.
+"""
 
 from .jain import jain_index
-from .meters import LossMeter, ThroughputMeter, windowed_rate
 
-__all__ = ["LossMeter", "ThroughputMeter", "jain_index", "windowed_rate"]
+__all__ = ["jain_index"]

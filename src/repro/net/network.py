@@ -7,8 +7,9 @@ queue, which is what makes links into bottlenecks.
 
 Paths are described as node lists; :meth:`Network.route` assembles the
 corresponding :class:`~repro.net.route.Route`.  Topology queries (shortest
-paths, ECMP path sets) are answered from a ``networkx`` graph kept in sync
-with the links.
+paths, ECMP path sets) are answered from the link table itself: each query
+builds successor lists in link-creation order, so its path order is fixed
+by the topology builder alone.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from ..sim.simulation import Simulation
 from .packet import MSS_BYTES
@@ -70,14 +69,10 @@ class Network:
     def __init__(self, sim: Simulation):
         self.sim = sim
         self.links: Dict[Tuple[str, str], Link] = {}
-        self.graph = nx.DiGraph()
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add_node(self, name: str) -> None:
-        self.graph.add_node(name)
-
     def add_link(
         self,
         src: str,
@@ -111,7 +106,6 @@ class Network:
         pipe = Pipe(self.sim, delay, name=f"{src}->{dst}.pipe")
         link = Link(src, dst, queue, pipe)
         self.links[key] = link
-        self.graph.add_edge(src, dst)
         return link
 
     def link(self, src: str, dst: str) -> Link:
@@ -145,9 +139,52 @@ class Network:
     # ------------------------------------------------------------------
     # Topology queries
     # ------------------------------------------------------------------
+    def successors(self) -> Dict[str, List[str]]:
+        """Every link endpoint mapped to its successors, in link-creation
+        order."""
+        succ: Dict[str, List[str]] = {}
+        for src, dst in self.links:
+            succ.setdefault(src, []).append(dst)
+            succ.setdefault(dst, [])
+        return succ
+
     def shortest_paths(self, src: str, dst: str) -> List[List[str]]:
-        """All shortest-hop paths from src to dst (the ECMP path set)."""
-        return [list(p) for p in nx.all_shortest_paths(self.graph, src, dst)]
+        """All shortest-hop paths from src to dst (the ECMP path set).
+
+        Breadth-first search records every predecessor one hop closer to
+        ``src``; paths are then walked back from ``dst`` taking
+        predecessors in the order they were found.  Raises ``ValueError``
+        if either endpoint is unknown or ``dst`` is unreachable.
+        """
+        succ = self.successors()
+        for node in (src, dst):
+            if node not in succ:
+                raise ValueError(
+                    f"no path {src}->{dst}: unknown node {node!r}"
+                )
+        depth = {src: 0}
+        pred: Dict[str, List[str]] = {src: []}
+        frontier = [src]
+        while frontier and dst not in pred:
+            next_frontier = []
+            for node in frontier:
+                for nxt in succ[node]:
+                    if nxt not in depth:
+                        depth[nxt] = depth[node] + 1
+                        pred[nxt] = [node]
+                        next_frontier.append(nxt)
+                    elif depth[nxt] == depth[node] + 1:
+                        pred[nxt].append(node)
+            frontier = next_frontier
+        if dst not in pred:
+            raise ValueError(f"no path {src}->{dst}: {dst!r} is unreachable")
+
+        def walk_back(node: str) -> List[List[str]]:
+            if node == src:
+                return [[src]]
+            return [p + [node] for u in pred[node] for p in walk_back(u)]
+
+        return walk_back(dst)
 
     def random_shortest_path(
         self, src: str, dst: str, rng: Optional[random.Random] = None
@@ -177,10 +214,20 @@ class Network:
             rng.shuffle(shortest)
             return shortest[:count]
         cutoff = len(shortest[0]) - 1 + cutoff_extra_hops
-        pool = [
-            list(p)
-            for p in nx.all_simple_paths(self.graph, src, dst, cutoff=cutoff)
-        ]
+        succ = self.successors()
+        pool: List[List[str]] = []
+
+        def extend(path: List[str]) -> None:
+            # Depth-first over simple paths of at most ``cutoff`` edges;
+            # a path is recorded on reaching dst and never extended past it.
+            if path[-1] == dst:
+                pool.append(path)
+            elif len(path) <= cutoff:
+                for nxt in succ[path[-1]]:
+                    if nxt not in path:
+                        extend(path + [nxt])
+
+        extend([src])
         rng.shuffle(pool)
         # Keep shortest paths preferentially, then fill with longer ones.
         chosen = [p for p in pool if len(p) == len(shortest[0])]
@@ -197,6 +244,6 @@ class Network:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Network(nodes={self.graph.number_of_nodes()}, "
+            f"Network(nodes={len(self.successors())}, "
             f"links={len(self.links)})"
         )

@@ -1,12 +1,12 @@
 """Per-flow / per-queue time-series recording.
 
-:class:`SeriesRecorder` generalises the old ``ThroughputMeter`` to an
-arbitrary set of named probes sampled on one shared clock: gauges (cwnd,
-smoothed RTT, queue depth — sampled values) and rates (goodput — the delta
-of a monotonic counter divided by the sampling interval).  All probes are
-sampled at the same instants, so rows line up into a table that exports
-directly to CSV or JSONL — the raw material for every per-flow figure in
-the paper (e.g. the Fig. 2-style cwnd traces).
+:class:`SeriesRecorder` samples an arbitrary set of named probes on one
+shared clock: gauges (cwnd, smoothed RTT, queue depth — sampled values)
+and rates (goodput, drops — the delta of a monotonic counter divided by
+the sampling interval).  All probes are sampled at the same instants, so
+rows line up into a table that exports directly to CSV or JSONL — the raw
+material for every per-flow figure in the paper (e.g. the Fig. 2-style
+cwnd traces).
 
 Warm-up handling: samples taken at or before ``warmup`` are discarded
 (rate probes still re-baseline on them), matching the measurement

@@ -11,7 +11,7 @@ from repro.harness import (
     measure,
     sweep,
 )
-from repro.metrics import LossMeter, ThroughputMeter, jain_index, windowed_rate
+from repro.metrics import jain_index
 from repro.mptcp.connection import MptcpFlow
 from repro.net.queue import DropTailQueue
 from repro.net.pipe import Pipe
@@ -48,60 +48,6 @@ class TestJainIndex:
             jain_index([])
         with pytest.raises(ValueError):
             jain_index([-1.0])
-
-
-class TestMeters:
-    def test_windowed_rate(self):
-        assert windowed_rate(100, 400, 10.0) == 30.0
-        with pytest.raises(ValueError):
-            windowed_rate(0, 1, 0.0)
-
-    def test_windowed_rate_rejects_nonpositive_window(self):
-        # Regression: the raise on window <= 0 is documented behaviour
-        # (module docstring + docs/API.md), not an accident — both zero
-        # and negative windows must raise, with the offending value named.
-        with pytest.raises(ValueError, match="window must be positive"):
-            windowed_rate(0, 10, 0.0)
-        with pytest.raises(ValueError, match="-2.5"):
-            windowed_rate(0, 10, -2.5)
-        # ... and a positive window keeps working, including negative
-        # deltas (callers may pass re-baselined counters).
-        assert windowed_rate(10, 5, 5.0) == -1.0
-
-    def test_throughput_meter_samples(self):
-        sim = Simulation()
-        counter = {"n": 0}
-        sim.schedule_at(0.5, lambda: counter.__setitem__("n", 50))
-        sim.schedule_at(1.5, lambda: counter.__setitem__("n", 150))
-        meter = ThroughputMeter(sim, lambda: counter["n"], interval=1.0)
-        meter.start()
-        sim.run_until(2.0)
-        times, rates = zip(*meter.samples)
-        assert rates == (50.0, 100.0)
-
-    def test_throughput_meter_mean(self):
-        sim = Simulation()
-        counter = {"n": 0}
-
-        def bump():
-            counter["n"] += 10
-            sim.schedule_in(0.1, bump)
-
-        sim.schedule_at(0.0, bump)
-        meter = ThroughputMeter(sim, lambda: counter["n"], interval=1.0)
-        meter.start()
-        sim.run_until(10.0)
-        assert meter.mean_rate() == pytest.approx(100.0, rel=0.05)
-
-    def test_loss_meter_baseline(self):
-        sim = Simulation()
-        q = DropTailQueue(sim, rate_pps=100.0, capacity=10, jitter=0.0)
-        q.arrivals, q.drops = 100, 10
-        meter = LossMeter([q])
-        q.arrivals, q.drops = 200, 40
-        assert meter.loss_rates() == [pytest.approx(0.3)]
-        meter.snapshot()
-        assert meter.loss_rates() == [0.0]
 
 
 class TestTable:

@@ -1,7 +1,11 @@
 """Structural tests for the scenario and data-center topologies."""
 
+import random
+from collections import Counter
+
 import pytest
 
+from repro.net.network import Network
 from repro.sim.simulation import Simulation
 from repro.topology import (
     BCube,
@@ -12,6 +16,12 @@ from repro.topology import (
     build_triangle,
     build_two_links,
 )
+
+
+def out_degrees(net):
+    """Out-degree of every link endpoint, counted from the link table."""
+    degrees = Counter(src for src, _ in net.links)
+    return {node: degrees[node] for pair in net.links for node in pair}
 
 
 class TestScenarios:
@@ -104,9 +114,9 @@ class TestFatTree:
 
     def test_switch_port_counts(self):
         ft = FatTree.build(Simulation(), k=4)
-        for node in ft.net.graph.nodes:
+        for node, degree in out_degrees(ft.net).items():
             if not node.startswith("h"):
-                assert ft.net.graph.out_degree(node) == 4
+                assert degree == 4
 
     def test_interpod_path_diversity(self):
         """Between pods there are (k/2)^2 shortest paths (one per core)."""
@@ -149,14 +159,15 @@ class TestBCube:
 
     def test_host_interface_count(self):
         bc = BCube.build(Simulation(), n=4, k=1)
+        degrees = out_degrees(bc.net)
         for host in bc.hosts:
-            assert bc.net.graph.out_degree(host) == 2  # k+1 interfaces
+            assert degrees[host] == 2  # k+1 interfaces
 
     def test_switch_port_count(self):
         bc = BCube.build(Simulation(), n=4, k=1)
-        for node in bc.net.graph.nodes:
+        for node, degree in out_degrees(bc.net).items():
             if node.startswith("s"):
-                assert bc.net.graph.out_degree(node) == 4  # n ports
+                assert degree == 4  # n ports
 
     def test_route_reaches_destination(self):
         sim = Simulation(seed=1)
@@ -209,3 +220,55 @@ class TestBCube:
         bc = BCube.build(Simulation(), n=4, k=1)
         with pytest.raises(ValueError):
             bc.route_nodes("h00", "h00", 0)
+
+
+class TestPathQueries:
+    """Path order is part of the seeded results: random path choice
+    indexes into these lists, so their order is pinned literally."""
+
+    def test_fattree_interpod_shortest_path_order(self):
+        ft = FatTree.build(Simulation(), k=4)
+        assert ft.net.shortest_paths("h0", "h15") == [
+            ["h0", "e0_0", "a0_0", "c0_0", "a3_0", "e3_1", "h15"],
+            ["h0", "e0_0", "a0_0", "c0_1", "a3_0", "e3_1", "h15"],
+            ["h0", "e0_0", "a0_1", "c1_0", "a3_1", "e3_1", "h15"],
+            ["h0", "e0_0", "a0_1", "c1_1", "a3_1", "e3_1", "h15"],
+        ]
+
+    def test_bcube_shortest_path_order(self):
+        bc = BCube.build(Simulation(), n=3, k=1)
+        assert bc.net.shortest_paths("h00", "h12") == [
+            ["h00", "s0_0", "h10", "s1_1", "h12"],
+            ["h00", "s1_0", "h02", "s0_2", "h12"],
+        ]
+
+    def test_fattree_random_paths_include_longer_simple_paths(self):
+        # Only 4 shortest paths exist, so the other 4 come from the
+        # bounded simple-path search (up to 2 extra hops).
+        ft = FatTree.build(Simulation(), k=4)
+        paths = ft.net.random_paths("h0", "h15", 8, rng=random.Random(7))
+        assert paths == [
+            ["h0", "e0_0", "a0_1", "c1_0", "a3_1", "e3_1", "h15"],
+            ["h0", "e0_0", "a0_1", "c1_1", "a3_1", "e3_1", "h15"],
+            ["h0", "e0_0", "a0_0", "c0_1", "a3_0", "e3_1", "h15"],
+            ["h0", "e0_0", "a0_0", "c0_0", "a3_0", "e3_1", "h15"],
+            ["h0", "e0_0", "a0_1", "c1_1", "a2_1", "c1_0", "a3_1", "e3_1", "h15"],
+            ["h0", "e0_0", "a0_1", "e0_1", "a0_0", "c0_1", "a3_0", "e3_1", "h15"],
+            ["h0", "e0_0", "a0_1", "c1_1", "a3_1", "e3_0", "a3_0", "e3_1", "h15"],
+            ["h0", "e0_0", "a0_0", "c0_1", "a2_0", "c0_0", "a3_0", "e3_1", "h15"],
+        ]
+
+    def test_unknown_node_raises_value_error(self):
+        ft = FatTree.build(Simulation(), k=4)
+        with pytest.raises(ValueError, match="h0->nowhere"):
+            ft.net.shortest_paths("h0", "nowhere")
+        with pytest.raises(ValueError, match="nowhere->h0"):
+            ft.net.random_paths("nowhere", "h0", 8)
+
+    def test_unreachable_destination_raises_value_error(self):
+        net = Network(Simulation())
+        net.add_link("a", "b", 100.0, 0.01, 10, bidirectional=False)
+        with pytest.raises(ValueError, match="b->a"):
+            net.shortest_paths("b", "a")
+        with pytest.raises(ValueError, match="b->a"):
+            net.random_paths("b", "a", 2)
