@@ -28,7 +28,7 @@ Checked invariants
     Every congestion-avoidance ``on_ack`` increase is at most ``1/w``
     (constraint (4) of §2.5: a multipath flow must never be more
     aggressive per-ACK than regular TCP).  Enforced by wrapping each
-    controller's ``on_ack``; controllers named in ``exempt_controllers``
+    controller's ``on_ack``; controllers named in ``EXEMPT_CONTROLLERS``
     (CUBIC, whose window growth is deliberately not ACK-bounded) are
     skipped.
 ``dsn_monotonic``
@@ -66,6 +66,13 @@ CHECK_EVENTS = frozenset(
 
 #: Absolute slop for floating-point window comparisons.
 _EPS = 1e-9
+
+#: Trace records a violation carries as its replayable tail.
+TAIL_RECORDS = 64
+
+#: Controllers ``coupled_increase_bound`` skips: CUBIC's window growth is
+#: deliberately not ACK-bounded.
+EXEMPT_CONTROLLERS = frozenset({"cubic"})
 
 
 class InvariantViolation(AssertionError):
@@ -125,17 +132,8 @@ class InvariantMonitor(TraceSink):
     ``check.violation`` trace record and flushing the bus.
     """
 
-    def __init__(
-        self,
-        tail: int = 64,
-        exempt_controllers: tuple = ("cubic",),
-        sweep_every: int = 1,
-    ):
-        if sweep_every < 1:
-            raise ValueError(f"sweep_every must be >= 1, got {sweep_every!r}")
-        self.tail: deque = deque(maxlen=tail)
-        self.exempt_controllers = set(exempt_controllers)
-        self.sweep_every = sweep_every
+    def __init__(self):
+        self.tail: deque = deque(maxlen=TAIL_RECORDS)
         self.sim: Optional[Simulation] = None
         self.bus: Optional[TraceBus] = None
 
@@ -157,7 +155,6 @@ class InvariantMonitor(TraceSink):
         self.events_seen = 0
         self.checks_run = 0
         self.violations = 0
-        self._since_sweep = 0
         self._finished = False
 
     # ------------------------------------------------------------------
@@ -202,7 +199,7 @@ class InvariantMonitor(TraceSink):
         key = id(controller)
         if key in self._wrapped_controllers:
             return
-        if getattr(controller, "name", "") in self.exempt_controllers:
+        if getattr(controller, "name", "") in EXEMPT_CONTROLLERS:
             self._wrapped_controllers[key] = None
             return
         original = controller.on_ack
@@ -237,10 +234,7 @@ class InvariantMonitor(TraceSink):
         handler = self._EVENT_CHECKS.get(ev)
         if handler is not None:
             handler(self, record)
-        self._since_sweep += 1
-        if self._since_sweep >= self.sweep_every:
-            self._since_sweep = 0
-            self._sweep(record)
+        self._sweep(record)
 
     def flush(self) -> None:
         pass

@@ -28,7 +28,27 @@ from typing import Any, Dict, Optional, Union
 
 from .spec import TaskSpec
 
-__all__ = ["ResultCache", "code_version"]
+__all__ = ["ResultCache", "atomic_write", "code_version"]
+
+
+def atomic_write(path: pathlib.Path, payload: Union[str, bytes]) -> None:
+    """Write ``payload`` (text as UTF-8) to ``path`` via temp file +
+    ``os.replace``, creating the parent directory; readers see the old
+    file or the new one, never a partial write."""
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 @lru_cache(maxsize=1)
@@ -121,25 +141,12 @@ class ResultCache:
         through JSON before storing, so a warm-cache rerun returns rows
         bit-identical to the cold run.
         """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         # No sort_keys: the row's key order is part of the result (output
         # columns follow it), so a warm rerun must preserve it exactly.
-        payload = json.dumps(
+        atomic_write(self._path(key), json.dumps(
             {"key": key, "target": task.target(),
              "spec": task.spec.canonical(), "row": row}
-        )
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        ))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ResultCache({str(self.root)!r}, version={self.version!r}, "

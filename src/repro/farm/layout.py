@@ -36,30 +36,14 @@ import json
 import os
 import pathlib
 import pickle
-import tempfile
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
+from ..exp.cache import atomic_write
 from ..exp.spec import TaskSpec
 
 __all__ = ["FarmLayout"]
 
 MANIFEST_VERSION = 1
-
-
-def _atomic_write(path: pathlib.Path, payload: str) -> None:
-    """Write ``payload`` to ``path`` via temp file + ``os.replace``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class FarmLayout:
@@ -106,7 +90,7 @@ class FarmLayout:
         default ``results/`` directory inside the farm root.  Workers
         read it back so every process publishes to the same store.
         """
-        _atomic_write(
+        atomic_write(
             self.manifest_path,
             json.dumps({"version": MANIFEST_VERSION, "tasks": len(keys),
                         "keys": keys, "store": store}),
@@ -125,19 +109,10 @@ class FarmLayout:
         return self.tasks_dir / f"{self._name(index)}.task"
 
     def write_task(self, task: TaskSpec, key: str) -> None:
-        path = self.task_path(task.index)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump({"index": task.index, "key": key, "task": task},
-                            fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(
+            self.task_path(task.index),
+            pickle.dumps({"index": task.index, "key": key, "task": task}),
+        )
 
     def read_task(self, index: int) -> Dict[str, Any]:
         with open(self.task_path(index), "rb") as fh:
@@ -148,8 +123,8 @@ class FarmLayout:
         return self.queue_dir / self._name(index)
 
     def enqueue(self, index: int, attempt: int) -> None:
-        _atomic_write(self.queue_token_path(index),
-                      json.dumps({"task": index, "attempt": attempt}))
+        atomic_write(self.queue_token_path(index),
+                     json.dumps({"task": index, "attempt": attempt}))
 
     def queued_tasks(self) -> List[int]:
         try:
@@ -192,7 +167,7 @@ class FarmLayout:
 
     def write_lease(self, index: int, worker: str, attempt: int,
                     deadline: float) -> None:
-        _atomic_write(
+        atomic_write(
             self.lease_path(index),
             json.dumps({"task": index, "worker": worker,
                         "attempt": attempt, "deadline": deadline}),
@@ -293,7 +268,7 @@ class FarmLayout:
 
     def mark(self, state: str, text: str = "") -> None:
         marker = self.done_marker if state == "done" else self.failed_marker
-        _atomic_write(marker, text)
+        atomic_write(marker, text)
 
     def clear_markers(self) -> None:
         for marker in (self.done_marker, self.failed_marker):

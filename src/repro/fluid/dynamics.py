@@ -307,6 +307,19 @@ def step_windows(
     return _guarded_step(deriv, list(windows), dt, floor, _MAX_HALVINGS)
 
 
+def _integrate(deriv, state, duration, dt, floor, sample_every) -> FluidTrajectory:
+    """Guarded steps of ``dt`` for ``duration``, sampled every
+    ``sample_every`` steps and at the last one."""
+    times, states = [0.0], [list(state)]
+    steps = int(duration / dt)
+    for step in range(1, steps + 1):
+        state = _guarded_step(deriv, state, dt, floor, _MAX_HALVINGS)
+        if step % sample_every == 0 or step == steps:
+            times.append(step * dt)
+            states.append(list(state))
+    return FluidTrajectory(times, states)
+
+
 def integrate_windows(
     algorithm: str,
     losses: Sequence[float],
@@ -334,14 +347,7 @@ def integrate_windows(
     def deriv(windows):
         return window_derivative(algorithm, windows, losses, rtts, a=a)
 
-    times, states = [0.0], [list(state)]
-    steps = int(duration / dt)
-    for step in range(1, steps + 1):
-        state = _guarded_step(deriv, state, dt, floor, _MAX_HALVINGS)
-        if step % sample_every == 0 or step == steps:
-            times.append(step * dt)
-            states.append(list(state))
-    return FluidTrajectory(times, states)
+    return _integrate(deriv, state, duration, dt, floor, sample_every)
 
 
 def integrate_rates_coupled(
@@ -369,11 +375,4 @@ def integrate_rates_coupled(
             for x, p in zip(rates, losses)
         ]
 
-    times, states = [0.0], [list(state)]
-    steps = int(duration / dt)
-    for step in range(1, steps + 1):
-        state = _guarded_step(deriv, state, dt, floor, _MAX_HALVINGS)
-        if step % sample_every == 0 or step == steps:
-            times.append(step * dt)
-            states.append(list(state))
-    return FluidTrajectory(times, states)
+    return _integrate(deriv, state, duration, dt, floor, sample_every)

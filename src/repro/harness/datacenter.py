@@ -30,9 +30,6 @@ class DataCenterRun:
     link_loss: Dict[str, float]            # drop fraction per busy link
     host_link_rate: float                  # pkt/s of one host interface
 
-    def mean_rate(self) -> float:
-        return sum(self.flow_rates.values()) / len(self.flow_rates)
-
     def per_host_rates(self) -> Dict[str, float]:
         """Aggregate goodput per sending host — the unit of the paper's
         §4 tables ("per-host throughputs"): a TP2 host's 12 flows count

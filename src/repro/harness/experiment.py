@@ -8,6 +8,7 @@ window.  :func:`make_flow` and :func:`measure` capture that shape.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..core.registry import make_controller
@@ -132,8 +133,10 @@ def measure(
     for name, flow in flows.items():
         if isinstance(flow, MptcpFlow):
             after = flow.subflow_delivered()
+            # A managed flow may open subflows inside the window; they
+            # start from zero deliveries.
             subflow_rates[name] = [
                 (now - then) / duration
-                for now, then in zip(after, sub_base[name])
+                for now, then in zip_longest(after, sub_base[name], fillvalue=0)
             ]
     return Measurement(rates, subflow_rates, duration)

@@ -219,10 +219,6 @@ class MptcpConnection:
         for subflow in self.subflows:
             subflow.stop()
 
-    @property
-    def total_cwnd(self) -> float:
-        return sum(s.cwnd for s in self.subflows)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MptcpConnection({self.name!r}, subflows={len(self.subflows)}, "
@@ -310,6 +306,9 @@ class MptcpFlow:
 
     >>> flow = MptcpFlow(sim, routes, MptcpController(), name="m")
     >>> flow.start()
+
+    :class:`repro.pathmgr.ManagedMptcpFlow` overrides the path handling
+    (:meth:`_open_paths`, ``start`` / ``stop``) to open subflows at run time.
     """
 
     def __init__(
@@ -325,8 +324,6 @@ class MptcpFlow:
         enable_reinjection: bool = False,
         **sender_kwargs: Any,
     ):
-        if not routes:
-            raise ValueError("a multipath flow needs at least one route")
         self.sim = sim
         self.name = name
         self.connection = MptcpConnection(
@@ -343,10 +340,16 @@ class MptcpFlow:
             app_read_rate=app_read_rate,
             enable_sack=enable_sack,
         )
+        self._open_paths(routes, dict(sender_kwargs, enable_sack=enable_sack))
+
+    def _open_paths(self, routes: Sequence[Route], sender_kwargs: dict) -> None:
+        """Path handling: one subflow per route, fixed for the flow's life."""
+        if not routes:
+            raise ValueError("a multipath flow needs at least one route")
         self.routes = list(routes)
         for i, route in enumerate(self.routes):
             subflow = self.connection.add_subflow(
-                name=f"{name}.sf{i}", enable_sack=enable_sack, **sender_kwargs
+                name=f"{self.name}.sf{i}", **sender_kwargs
             )
             subflow_receiver = self.receiver.new_subflow_receiver()
             subflow.attach(route, subflow_receiver)

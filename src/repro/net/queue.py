@@ -279,26 +279,7 @@ class VariableRateQueue(DropTailQueue):
         if was_stalled and not self._stalled and self._buffer and not self._busy:
             self._start_service()
 
-    def receive(self, packet: Packet) -> None:
-        if self.intercept is not None and self.intercept(packet):
-            return
-        self.arrivals += 1
-        if len(self._buffer) >= self.capacity:
-            self.drops += 1
-            self._drop(packet)
-            return
-        self._buffer.append(packet)
-        if self.trace.enabled:
-            self._trace_enqueue(packet)
-        if not self._busy and not self._stalled:
-            self._start_service()
-
-    def _complete(self) -> None:
-        packet = self._buffer.popleft()
-        self.departures += 1
-        self._busy = False
-        if self._buffer and not self._stalled:
-            self._start_service()
-        hop = packet.hop + 1
-        packet.hop = hop
-        packet.route[hop].receive(packet)
+    def _start_service(self) -> None:
+        # While stalled, arrivals only buffer; set_rate restarts service.
+        if not self._stalled:
+            super()._start_service()

@@ -22,8 +22,9 @@ Which paths get subflows is delegated to a :class:`~.policy.PathPolicy`
 :class:`~repro.mptcp.subflow.MptcpSubflow` instances, so they start in
 slow start as RFC 6356 prescribes for a changed path set.
 
-:class:`ManagedMptcpFlow` bundles connection + receiver + manager into
-the flow-shaped object the experiment harness expects.
+:class:`ManagedMptcpFlow` is the :class:`~repro.mptcp.connection.MptcpFlow`
+whose subflows this manager opens, so the experiment harness measures it
+like any other multipath flow.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Union
 
 from ..core.base import CongestionController
-from ..mptcp.connection import MptcpConnection, MptcpReceiver
+from ..mptcp.connection import MptcpConnection, MptcpFlow, MptcpReceiver
 from ..mptcp.handshake import (
     MptcpEndpoint,
     OptionStrippingMiddlebox,
@@ -434,12 +435,12 @@ class PathManager:
         )
 
 
-class ManagedMptcpFlow:
+class ManagedMptcpFlow(MptcpFlow):
     """Connection + receiver + path manager, flow-shaped.
 
-    The managed counterpart of :class:`~repro.mptcp.connection.MptcpFlow`:
-    instead of a fixed route list at construction, paths are advertised
-    (and may come and go) at run time::
+    The managed :class:`~repro.mptcp.connection.MptcpFlow`: instead of a
+    fixed route list at construction, paths are advertised (and may come
+    and go) at run time::
 
         flow = ManagedMptcpFlow(sim, make_controller("lia"), policy="backup")
         flow.add_path(wifi.route("m.wifi"), name="wifi", wireless=wifi)
@@ -463,21 +464,16 @@ class ManagedMptcpFlow:
         middlebox: Optional[OptionStrippingMiddlebox] = None,
         **sender_kwargs: Any,
     ):
-        self.sim = sim
-        self.name = name
-        self.connection = MptcpConnection(
+        super().__init__(
             sim,
+            (),
             controller,
             transfer_packets=transfer_packets,
             name=name,
-            enable_reinjection=enable_reinjection,
-        )
-        self.receiver = MptcpReceiver(
-            sim,
-            name=f"{name}.rx",
             receive_buffer=receive_buffer,
             app_read_rate=app_read_rate,
             enable_sack=enable_sack,
+            enable_reinjection=enable_reinjection,
         )
         self.manager = PathManager(
             self.connection,
@@ -488,6 +484,9 @@ class ManagedMptcpFlow:
             middlebox=middlebox,
             sender_kwargs=dict(sender_kwargs, enable_sack=enable_sack),
         )
+
+    def _open_paths(self, routes, sender_kwargs) -> None:
+        """No fixed routes: the manager opens subflows as paths arrive."""
 
     # ------------------------------------------------------------------
     def add_path(
@@ -503,23 +502,6 @@ class ManagedMptcpFlow:
 
     def remove_path(self, name: str) -> int:
         return self.manager.remove_path(name)
-
-    # ------------------------------------------------------------------
-    @property
-    def subflows(self) -> List[MptcpSubflow]:
-        return self.connection.subflows
-
-    @property
-    def controller(self) -> CongestionController:
-        return self.connection.controller
-
-    @property
-    def packets_delivered(self) -> int:
-        return self.receiver.packets_delivered
-
-    @property
-    def completed(self) -> bool:
-        return self.connection.completed
 
     def start(self, at: Optional[float] = None) -> None:
         self.manager.start(at=at)

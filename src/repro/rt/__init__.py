@@ -5,7 +5,7 @@ loopback UDP sockets on a real asyncio event loop, with an in-process
 impairment layer standing in for ``tc netem``:
 
 * :mod:`~repro.rt.loop` — :class:`RtSimulation` / :class:`AsyncioTimers`,
-  the ``Simulation``-shaped runtime on monotonic-clock timers;
+  the ``Simulation`` subclass on monotonic-clock timers;
 * :mod:`~repro.rt.codec` — packets and MPTCP options ⇄ datagrams;
 * :mod:`~repro.rt.wire` — :class:`RtPath` / :class:`RtRoute`, UDP socket
   pairs behind the sim's route API;

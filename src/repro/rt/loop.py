@@ -4,12 +4,11 @@
 protocol on a real event loop — ``now`` is ``loop.time()`` (the OS
 monotonic clock) and ``schedule_at``/``schedule_in`` wrap
 ``loop.call_at``/``loop.call_later``, whose handles already expose the
-``.cancel()`` the protocol requires.  :class:`RtSimulation` then mirrors
-the :class:`~repro.sim.simulation.Simulation` surface the rest of the
-repo programs against (``now``, ``schedule_at``, ``register``,
-``on_register``, ``trace``, ``rng``, ``run_until``, ``finish``), so the
-TCP/MPTCP state machines, the path manager, the invariant monitor and
-``repro.exp`` point functions run on real sockets *unchanged*.
+``.cancel()`` the protocol requires.  :class:`RtSimulation` is a
+:class:`~repro.sim.simulation.Simulation` whose ``scheduler`` is an
+:class:`AsyncioTimers`, so the TCP/MPTCP state machines, the path
+manager, the invariant monitor and ``repro.exp`` point functions run on
+real sockets *unchanged*.
 
 Two deliberate differences from the simulator:
 
@@ -29,11 +28,10 @@ Two deliberate differences from the simulator:
 from __future__ import annotations
 
 import asyncio
-import random
 import time
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
-from ..obs.trace import NULL_TRACE
+from ..sim.simulation import Simulation
 
 __all__ = ["AsyncioTimers", "RtSimulation"]
 
@@ -64,38 +62,28 @@ class AsyncioTimers:
             return self._loop.call_later(delay, callback)
         return self._loop.call_later(delay, callback, arg)
 
-    # The simulator's handle-free fast paths; on asyncio the handle is
-    # free anyway, so these are pure aliases kept for interface parity.
-    post_at = schedule_at
-    post_in = schedule_in
 
+class RtSimulation(Simulation):
+    """A :class:`~repro.sim.simulation.Simulation` running on real sockets.
 
-class RtSimulation:
-    """Drop-in ``Simulation`` replacement running on real sockets.
-
-    Owns a private event loop (never installed as the thread's global
-    loop) so multiple runs — and the sim backend — can coexist in one
-    process.  Constructor shape matches ``Simulation(seed, trace)``, so
+    Registry, RNG, ``now``, ``schedule_at``/``schedule_in`` and
+    ``at_end``/``finish`` are inherited; only the clock differs —
+    ``scheduler`` is an :class:`AsyncioTimers` on a private event loop
+    (never installed as the thread's global loop) so multiple runs — and
+    the sim backend — can coexist in one process.  The constructor shape
+    is ``Simulation(seed, trace)``, so
     :meth:`repro.check.hooks.CheckContext.simulation` can build one with
-    full invariant-monitor wiring via ``cls=RtSimulation``.
+    full invariant-monitor wiring via ``cls=RtSimulation``.  The seeded
+    ``rng`` drives the impairment layer: its loss/jitter schedule is
+    reproducible even though packet timing is not.
     """
 
     def __init__(self, seed: int = 1, trace=None):
-        self.trace = NULL_TRACE if trace is None else trace
+        super().__init__(seed=seed, trace=trace)
         self._loop = asyncio.new_event_loop()
-        self.timers = AsyncioTimers(self._loop)
-        #: Interface parity with ``Simulation.scheduler`` — components
-        #: that only need the Timers surface keep working; anything
-        #: touching heap internals fails loudly (as it should here).
-        self.scheduler = self.timers
-        self.seed = seed
-        #: Seeded RNG for the impairment layer (loss draws, jitter) —
-        #: the impairment *schedule* is reproducible even though packet
-        #: timing is not.
-        self.rng = random.Random(seed)
-        self._components: List[Any] = []
-        self._watchers: List[Callable[[Any], None]] = []
-        self._at_end: List[Callable[[], None]] = []
+        # Components reach the clock through ``sim.scheduler``; anything
+        # touching event-heap internals fails loudly here (as it should).
+        self.scheduler = AsyncioTimers(self._loop)
         self._cleanups: List[Callable[[], None]] = []
         self._closed = False
         #: Monotonic-clock value at the run origin; observers rebase
@@ -120,11 +108,6 @@ class RtSimulation:
         return self._loop
 
     @property
-    def now(self) -> float:
-        """Monotonic-clock seconds (same epoch as ``timers.now``)."""
-        return self._loop.time()
-
-    @property
     def elapsed(self) -> float:
         """Seconds since the run origin (a 0-based, sim-like axis)."""
         return self._loop.time() - self.time_origin
@@ -132,31 +115,6 @@ class RtSimulation:
     def at(self, rel: float) -> float:
         """Absolute loop time for a scenario-relative instant."""
         return self.time_origin + rel
-
-    def schedule_at(self, when: float, callback, arg=None):
-        return self.timers.schedule_at(when, callback, arg)
-
-    def schedule_in(self, delay: float, callback, arg=None):
-        return self.timers.schedule_in(delay, callback, arg)
-
-    # -- components (same contract as Simulation) -----------------------
-    def register(self, component: Any) -> Any:
-        self._components.append(component)
-        for watcher in self._watchers:
-            watcher(component)
-        return component
-
-    def on_register(
-        self, callback: Callable[[Any], None], replay: bool = True
-    ) -> None:
-        self._watchers.append(callback)
-        if replay:
-            for component in self._components:
-                callback(component)
-
-    @property
-    def components(self) -> List[Any]:
-        return list(self._components)
 
     # -- running ---------------------------------------------------------
     def run_until(self, end_time: float) -> None:
@@ -173,14 +131,6 @@ class RtSimulation:
 
     def run_for(self, duration: float) -> None:
         self.run_until(self._loop.time() + duration)
-
-    def at_end(self, callback: Callable[[], None]) -> None:
-        self._at_end.append(callback)
-
-    def finish(self) -> None:
-        for callback in self._at_end:
-            callback()
-        self.trace.flush()
 
     # -- teardown --------------------------------------------------------
     def add_cleanup(self, callback: Callable[[], None]) -> None:

@@ -79,7 +79,7 @@ class NetemChannel:
     """One direction of one path: admit datagrams, impair, then send."""
 
     __slots__ = (
-        "name", "direction", "path_name", "trace", "_timers", "_rng",
+        "name", "direction", "path_name", "trace", "_sched", "_rng",
         "delay", "jitter", "loss", "rate_pps", "buffer_pkts",
         "_busy_until", "_queued", "sent", "dropped",
     )
@@ -90,7 +90,7 @@ class NetemChannel:
         self.direction = direction
         self.path_name = path_name
         self.trace = sim.trace
-        self._timers = sim.timers
+        self._sched = sim.scheduler
         self._rng = sim.rng
         self.delay = profile.delay
         self.jitter = profile.jitter
@@ -113,7 +113,7 @@ class NetemChannel:
         if self.trace.enabled:
             self.trace.emit(
                 "rt.netem",
-                self._timers.now,
+                self._sched.now,
                 path=self.path_name,
                 direction=self.direction,
                 rate_mbps=mbps,
@@ -124,7 +124,7 @@ class NetemChannel:
               seq=None) -> bool:
         """Impair one datagram; ``send(datagram)`` fires when (if) it
         clears the emulated path.  Returns False when dropped."""
-        now = self._timers.now
+        now = self._sched.now
         if self.loss and self._rng.random() < self.loss:
             return self._drop(flow, seq)
         rate = self.rate_pps
@@ -140,7 +140,7 @@ class NetemChannel:
             depart = start + size / rate
             self._busy_until = depart
             self._queued += 1
-            self._timers.schedule_at(depart, self._served)
+            self._sched.schedule_at(depart, self._served)
         delay = self.delay
         if self.jitter:
             delay += self._rng.uniform(-self.jitter, self.jitter)
@@ -151,7 +151,7 @@ class NetemChannel:
         if when <= now:
             send(datagram)  # unimpaired: straight onto the socket
         else:
-            self._timers.schedule_at(when, send, datagram)
+            self._sched.schedule_at(when, send, datagram)
         return True
 
     def _served(self) -> None:
@@ -162,7 +162,7 @@ class NetemChannel:
         if self.trace.enabled:
             self.trace.emit(
                 "pkt.drop",
-                self._timers.now,
+                self._sched.now,
                 elem=self.name,
                 kind="netem",
                 flow=flow,

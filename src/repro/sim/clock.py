@@ -27,10 +27,10 @@ narrow capabilities, named here as structural protocols:
     packet to ``route[0].receive``; it never learns whether the next hop
     is a simulated queue or a socket.
 
-Senders and receivers reach their ``Timers`` through ``sim.timers``
-(see :class:`repro.sim.simulation.Simulation`, where it is the scheduler
-itself, and :class:`repro.rt.loop.RtSimulation`, where it wraps the
-asyncio loop).  The protocols are ``runtime_checkable`` so tests can
+Senders and receivers reach their ``Timers`` through ``sim.scheduler``
+(see :class:`repro.sim.simulation.Simulation`, where it is the event
+heap, and its subclass :class:`repro.rt.loop.RtSimulation`, where it
+wraps the asyncio loop).  The protocols are ``runtime_checkable`` so tests can
 assert an implementation satisfies the seam structurally, but hot-path
 code must never ``isinstance``-check them per packet.
 """

@@ -32,14 +32,11 @@ class Simulation:
 
     def __init__(self, seed: int = 1, trace=None):
         self.trace = NULL_TRACE if trace is None else trace
-        self.scheduler = EventScheduler(trace=self.trace)
         #: The :class:`~repro.sim.clock.Timers` implementation components
-        #: use for time and timer access.  Here it *is* the event
-        #: scheduler (same object, so sim behaviour and cost are
-        #: unchanged); on the real-network backend
-        #: (:class:`repro.rt.loop.RtSimulation`) it wraps the asyncio
-        #: event loop's monotonic clock instead.
-        self.timers = self.scheduler
+        #: use for time and timer access: the event heap here; the
+        #: real-network backend (:class:`repro.rt.loop.RtSimulation`)
+        #: replaces it with timers on the asyncio loop's monotonic clock.
+        self.scheduler = EventScheduler(trace=self.trace)
         #: Epoch of ``now`` relative to the run start: 0 in simulation.
         #: Real-backend runs set this to the monotonic clock's value at
         #: the run origin so observers (e.g. SeriesRecorder) can rebase.

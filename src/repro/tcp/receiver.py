@@ -71,7 +71,7 @@ class TcpReceiver:
         self.trace = sim.trace if trace is None else trace
         # Timers seam (repro.sim.clock): the sim scheduler or the real
         # backend's asyncio timer wrapper, whichever this sim carries.
-        self._sched = sim.timers
+        self._sched = sim.scheduler
         if delayed_ack < 1:
             raise ValueError(f"delayed_ack must be >= 1, got {delayed_ack!r}")
         self.delayed_ack = delayed_ack
@@ -245,10 +245,6 @@ class TcpReceiver:
         route[0].receive(ack)
 
     # ------------------------------------------------------------------
-    @property
-    def reorder_buffer_size(self) -> int:
-        return len(self._out_of_order)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TcpReceiver({self.name!r}, expected={self.expected}, "

@@ -88,7 +88,7 @@ class TcpSender:
         # property costs a call per access, so cache the implementation.
         # On the sim backend this is the event scheduler itself; on the
         # real-network backend it wraps the asyncio loop's monotonic clock.
-        self._sched = sim.timers
+        self._sched = sim.scheduler
 
         # Window state (packets).
         self.cwnd = float(init_cwnd)
@@ -220,14 +220,6 @@ class TcpSender:
         if self.in_recovery and not self.enable_sack:
             window += self.dup_acks
         return window
-
-    def _pipe(self) -> int:
-        """SACK pipe estimate: packets believed to be in the network."""
-        sb = self._sb
-        return (
-            self.highest_sent - self.last_acked
-            - sb.n_sacked - sb.n_lost + sb.n_rtx
-        )
 
     def maybe_send(self) -> None:
         """Send as much as the window (or the SACK pipe rule) allows."""

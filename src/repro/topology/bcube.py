@@ -158,17 +158,6 @@ class BCube:
             for l in range(count)
         ]
 
-    def neighbors_by_level(self, host: str) -> List[str]:
-        """One neighbor of ``host`` per level (the TP2 destinations: "the
-        host's neighbors in the three levels")."""
-        digits = list(self.host_digits(host))
-        result = []
-        for level in range(self.k + 1):
-            other = list(digits)
-            other[level] = (other[level] + 1) % self.n
-            result.append(self._host_name(tuple(other)))
-        return result
-
     @property
     def num_hosts(self) -> int:
         return len(self.hosts)

@@ -16,8 +16,10 @@ from repro.mptcp.connection import MptcpFlow
 from repro.net.queue import DropTailQueue
 from repro.net.pipe import Pipe
 from repro.net.route import Route
+from repro.pathmgr import ManagedMptcpFlow
 from repro.sim.simulation import Simulation
 from repro.tcp.sender import TcpFlow
+from repro.topology import build_two_links
 
 
 class TestJainIndex:
@@ -136,6 +138,31 @@ class TestMakeFlowAndMeasure:
         flow.start()
         m = measure(sim, {"m": flow}, warmup=5.0, duration=10.0)
         assert len(m.subflow_rates["m"]) == 2
+        assert sum(m.subflow_rates["m"]) == pytest.approx(m["m"], rel=0.05)
+
+    def test_measure_subflow_rates_of_managed_flow(self):
+        sim = Simulation(seed=2)
+        sc = build_two_links(sim, 500.0, 500.0)
+        flow = ManagedMptcpFlow(sim, make_controller("lia"), name="m")
+        for i, route in enumerate(sc.routes("multi")):
+            flow.add_path(route, name=f"p{i}")
+        flow.start()
+        m = measure(sim, {"m": flow}, warmup=5.0, duration=10.0)
+        assert len(m.subflow_rates["m"]) == 2
+        assert min(m.subflow_rates["m"]) > 0
+        assert sum(m.subflow_rates["m"]) == pytest.approx(m["m"], rel=0.05)
+
+    def test_measure_counts_subflows_opened_inside_the_window(self):
+        sim = Simulation(seed=2)
+        sc = build_two_links(sim, 500.0, 500.0)
+        flow = ManagedMptcpFlow(sim, make_controller("lia"), name="m")
+        first, second = sc.routes("multi")
+        flow.add_path(first, name="p0")
+        flow.start()
+        sim.schedule_at(8.0, lambda: flow.add_path(second, name="p1"))
+        m = measure(sim, {"m": flow}, warmup=5.0, duration=10.0)
+        assert len(m.subflow_rates["m"]) == 2
+        assert m.subflow_rates["m"][1] > 0
         assert sum(m.subflow_rates["m"]) == pytest.approx(m["m"], rel=0.05)
 
     def test_measure_validates_duration(self):

@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from repro.core.registry import make_controller
 from repro.harness.experiment import make_flow, standard_series
 from repro.net.queue import DropTailQueue
 from repro.obs import SeriesRecorder, cwnd_probe, queue_depth_probe, rtt_probe
+from repro.pathmgr import ManagedMptcpFlow
 from repro.sim.simulation import Simulation
 from repro.topology import build_two_links
 
@@ -141,3 +143,18 @@ class TestStandardSeries:
         assert rec.mean("cwnd.m.sf0") >= 1.0
         times, _ = rec.series("goodput.t")
         assert all(t > 1.0 for t in times)
+
+    def test_managed_flow_gets_per_subflow_probes(self):
+        sim = Simulation(seed=2)
+        sc = build_two_links(sim, 300.0, 300.0)
+        flow = ManagedMptcpFlow(sim, make_controller("lia"), name="m")
+        for i, route in enumerate(sc.routes("multi")):
+            flow.add_path(route, name=f"p{i}")
+        flow.start()
+        rec = standard_series(sim, {"m": flow}, interval=0.5)
+        sim.run_until(4.0)
+        assert set(rec.probe_names) == {
+            "goodput.m", "cwnd.m.sf0", "rtt.m.sf0", "cwnd.m.sf1", "rtt.m.sf1",
+        }
+        assert rec.mean("goodput.m") > 0
+        assert rec.mean("cwnd.m.sf1") >= 1.0

@@ -37,40 +37,40 @@ from repro.tcp.source import FiniteSource
 
 def test_event_scheduler_satisfies_timers_protocol():
     sim = Simulation(seed=1)
+    assert isinstance(sim.scheduler, EventScheduler)
     assert isinstance(sim.scheduler, Clock)
     assert isinstance(sim.scheduler, Timers)
-    assert sim.timers is sim.scheduler
 
 
 def test_asyncio_timers_satisfies_timers_protocol():
     with RtSimulation(seed=1) as sim:
-        assert isinstance(sim.timers, AsyncioTimers)
-        assert isinstance(sim.timers, Clock)
-        assert isinstance(sim.timers, Timers)
+        assert isinstance(sim, Simulation)
+        assert isinstance(sim.scheduler, AsyncioTimers)
+        assert isinstance(sim.scheduler, Clock)
+        assert isinstance(sim.scheduler, Timers)
 
 
 def test_sender_and_receiver_bind_through_the_seam():
-    """Regression for the hot-path coupling: endpoints must cache
-    ``sim.timers`` (the seam), never ``sim.scheduler`` directly — on the
-    real backend the two are the same object only by interface parity."""
+    """Endpoints cache ``sim.scheduler`` (the Timers seam): the event heap
+    on the sim backend, the asyncio timers on the real one."""
     sim = Simulation(seed=1)
     snd = TcpSender(sim, make_controller("reno"), name="f")
     rcv = TcpReceiver(sim, name="f.rx")
-    assert snd._sched is sim.timers
-    assert rcv._sched is sim.timers
+    assert snd._sched is sim.scheduler
+    assert rcv._sched is sim.scheduler
     with RtSimulation(seed=1) as rt:
         snd = TcpSender(rt, make_controller("reno"), name="f")
-        assert snd._sched is rt.timers
+        assert snd._sched is rt.scheduler
 
 
 def test_timer_handles_cancel_on_both_backends():
     fired = []
     sim = Simulation(seed=1)
-    handle = sim.timers.schedule_at(1.0, lambda: fired.append("sim"))
+    handle = sim.scheduler.schedule_at(1.0, lambda: fired.append("sim"))
     handle.cancel()
     sim.run_until(2.0)
     with RtSimulation(seed=1) as rt:
-        handle = rt.timers.schedule_in(0.01, lambda: fired.append("rt"))
+        handle = rt.scheduler.schedule_in(0.01, lambda: fired.append("rt"))
         handle.cancel()
         rt.run_for(0.05)
     assert fired == []
